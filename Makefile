@@ -4,7 +4,7 @@
 #                       bench-compare (the tier-1 gate)
 #   make ci             exactly what .github/workflows/ci.yml runs per
 #                       matrix leg: fmt-check + build + vet + tests +
-#                       -race + chaos
+#                       -race + chaos + crash + perfbench-test
 #   make fmt-check      fail if any file needs gofmt
 #   make race           vet + race-detector run over the whole module
 #   make race-hammer    race-detector over the concurrency-hammer
@@ -17,6 +17,9 @@
 #                       truncation/bit-flip/crash-image sweeps, the
 #                       fault-injected durability wiring, and the
 #                       kill-mid-chunk byte-identity scenarios
+#   make perfbench-test vet and test the repository benchmark, which is
+#                       a Go module of its own (perfbench/), so the
+#                       root build and test never see it
 #   make bench          compile-and-run the benchmark suite briefly
 #   make bench-json     run the benchmarks for real (best-of-BENCHCOUNT
 #                       per row) and write a dated BENCH_<date>.json
@@ -45,11 +48,11 @@ BENCHCOUNT ?= 3
 BENCHCOMPARE_ARGS ?=
 SLOCOMPARE_ARGS ?=
 
-.PHONY: check ci fmt-check vet test race race-hammer chaos crash bench bench-json bench-compare load-check load-json
+.PHONY: check ci fmt-check vet test race race-hammer chaos crash perfbench-test bench bench-json bench-compare load-check load-json
 
 check: vet test race-hammer crash bench-compare
 
-ci: fmt-check vet test race chaos crash
+ci: fmt-check vet test race chaos crash perfbench-test
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -81,6 +84,9 @@ chaos:
 crash:
 	$(GO) test -race -count=1 ./internal/store
 	$(GO) test -race -count=1 -run 'TestDurable|TestHistory|TestChaosStore' ./internal/server ./internal/chaos
+
+perfbench-test:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

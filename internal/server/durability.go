@@ -23,7 +23,7 @@ package server
 // Per-session records are appended while holding the session mutex,
 // so per-session WAL order is exactly apply order — replay is a pure
 // fold. History range queries (history.go) are served from the same
-// chunk records through a chunk-extent R-tree.
+// chunk records through a seq-ordered chunk-extent index.
 
 import (
 	"bytes"

@@ -5,12 +5,12 @@ package server
 //	GET /v1/history/range?minx=&miny=&maxx=&maxy=&mint=&maxt=
 //
 // Every persisted ingest chunk is indexed by its spatio-temporal
-// extent in an R-tree (internal/index — the same index layer the batch
-// query paths use). A range query searches the R-tree for candidate
-// chunks, reads exactly those records back from the on-disk segments
-// via the WAL's seq-range reader, and filters points to the requested
-// window. History covers closed and evicted sessions too: the log
-// outlives the session state.
+// extent in a flat, seq-ordered index with one summary box per block
+// of entries. A range query scans the summaries for candidate chunks,
+// reads exactly the WAL span from the first candidate to the last back
+// through the log's seq-range reader, and filters points to the
+// requested window. History covers closed and evicted sessions too:
+// the log outlives the session state.
 
 import (
 	"encoding/json"
@@ -21,105 +21,180 @@ import (
 	"sync"
 
 	"sidq/internal/geo"
-	"sidq/internal/index"
 	"sidq/internal/store"
 	"sidq/internal/trajectory"
 )
 
-// chunkExtent is the time bounds companion to a chunk's R-tree rect.
-type chunkExtent struct {
+// histBlock is how many consecutive index entries share one summary
+// box: a search tests the summary first and skips the whole block when
+// it misses the window.
+const histBlock = 64
+
+// extent is a chunk's spatio-temporal bounding box.
+type extent struct {
+	rect       geo.Rect
 	minT, maxT float64
 }
 
+func (e extent) meets(q extent) bool {
+	return e.rect.Intersects(q.rect) && e.minT <= q.maxT && e.maxT >= q.minT
+}
+
+func (e extent) union(o extent) extent {
+	return extent{
+		rect: e.rect.Union(o.rect),
+		minT: math.Min(e.minT, o.minT),
+		maxT: math.Max(e.maxT, o.maxT),
+	}
+}
+
+// chunkExtent bounds a non-empty chunk's events.
+func chunkExtent(evs []walEvent) extent {
+	e := extent{rect: geo.RectFromPoints(geo.Pt(evs[0].X, evs[0].Y)), minT: evs[0].T, maxT: evs[0].T}
+	for _, ev := range evs[1:] {
+		e.rect = e.rect.ExtendPoint(geo.Pt(ev.X, ev.Y))
+		e.minT = math.Min(e.minT, ev.T)
+		e.maxT = math.Max(e.maxT, ev.T)
+	}
+	return e
+}
+
+type histEntry struct {
+	seq uint64
+	extent
+}
+
 // historyIndex maps WAL chunk records to their spatio-temporal
-// extents. Safe for concurrent use (replay is single-threaded, but
-// live ingests on different sessions index concurrently).
+// extents: a slice of entries in ascending seq order, plus one summary
+// extent per block of histBlock entries. Safe for concurrent use
+// (replay is single-threaded, but live ingests on different sessions
+// index concurrently).
 type historyIndex struct {
-	mu  sync.Mutex
-	rt  *index.RTree
-	ext map[string]chunkExtent // R-tree entry id (decimal WAL seq) -> time bounds
+	mu      sync.Mutex
+	entries []histEntry
+	// blocks[b] bounds entries[b*histBlock-lead : (b+1)*histBlock-lead]
+	// (clipped to the slice). Blocks stay aligned while removeBelow cuts
+	// the front of entries, so lead counts the cut slots of blocks[0].
+	blocks []extent
+	lead   int
 }
 
-func newHistoryIndex() *historyIndex {
-	return &historyIndex{rt: index.NewRTree(), ext: map[string]chunkExtent{}}
-}
-
-// add indexes one chunk record's extent. Idempotent per seq.
+// add indexes one chunk record's extent. Idempotent per seq. Records
+// usually arrive in seq order, but concurrent sessions can finish
+// persisting out of order, so the entry is placed by walking back from
+// the tail.
 func (h *historyIndex) add(seq uint64, evs []walEvent) {
 	if len(evs) == 0 {
 		return
 	}
-	rect := geo.RectFromPoints(geo.Pt(evs[0].X, evs[0].Y))
-	ext := chunkExtent{minT: evs[0].T, maxT: evs[0].T}
-	for _, e := range evs[1:] {
-		rect = rect.ExtendPoint(geo.Pt(e.X, e.Y))
-		ext.minT = math.Min(ext.minT, e.T)
-		ext.maxT = math.Max(ext.maxT, e.T)
-	}
-	id := strconv.FormatUint(seq, 10)
+	e := histEntry{seq: seq, extent: chunkExtent(evs)}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.ext[id]; ok {
-		return
+	i := len(h.entries)
+	for ; i > 0 && h.entries[i-1].seq >= seq; i-- {
+		if h.entries[i-1].seq == seq {
+			return
+		}
 	}
-	h.ext[id] = ext
-	h.rt.Insert(index.RectEntry{ID: id, Rect: rect})
+	h.entries = append(h.entries, histEntry{})
+	copy(h.entries[i+1:], h.entries[i:])
+	h.entries[i] = e
+	// Entries from i on moved one slot; resummarize their blocks.
+	b := (h.lead + i) / histBlock
+	h.blocks = h.blocks[:b]
+	for ; b*histBlock-h.lead < len(h.entries); b++ {
+		h.blocks = append(h.blocks, h.summarize(b))
+	}
+}
+
+// block returns the entries summarized by blocks[b].
+func (h *historyIndex) block(b int) []histEntry {
+	lo := max(b*histBlock-h.lead, 0)
+	hi := min((b+1)*histBlock-h.lead, len(h.entries))
+	return h.entries[lo:hi]
+}
+
+func (h *historyIndex) summarize(b int) extent {
+	es := h.block(b)
+	sum := es[0].extent
+	for _, e := range es[1:] {
+		sum = sum.union(e.extent)
+	}
+	return sum
 }
 
 // removeBelow drops every entry whose WAL seq is below minSeq —
 // called by the retention loop after TruncateFront so the index never
 // answers with seqs the disk no longer holds (and so a long-running
-// server's index stops growing without bound). The R-tree has no
-// delete, so the surviving entries are bulk-loaded into a fresh tree;
-// retention passes are rare next to queries, and bulk load is the
-// cheaper structure for the searches anyway. Returns how many entries
-// were removed.
+// server's index stops growing without bound). Returns how many
+// entries were removed.
 func (h *historyIndex) removeBelow(minSeq uint64) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.ext) == 0 {
+	k := sort.Search(len(h.entries), func(i int) bool { return h.entries[i].seq >= minSeq })
+	if k == 0 {
 		return 0
 	}
-	all := geo.Rect{
-		Min: geo.Pt(math.Inf(-1), math.Inf(-1)),
-		Max: geo.Pt(math.Inf(1), math.Inf(1)),
+	h.entries = h.entries[k:]
+	h.lead += k
+	h.blocks = h.blocks[h.lead/histBlock:]
+	h.lead %= histBlock
+	if len(h.entries) == 0 {
+		h.blocks, h.lead = nil, 0
+	} else {
+		h.blocks[0] = h.summarize(0)
 	}
-	var kept []index.RectEntry
-	removed := 0
-	for _, e := range h.rt.Search(all) {
-		seq, err := strconv.ParseUint(e.ID, 10, 64)
-		if err == nil && seq < minSeq {
-			delete(h.ext, e.ID)
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	if removed > 0 {
-		h.rt = index.BulkLoadRTree(kept)
-	}
-	return removed
+	return k
 }
 
 // search returns the WAL seqs of chunks whose extent intersects the
 // window, in seq (= ingestion) order.
-func (h *historyIndex) search(rect geo.Rect, minT, maxT float64) []uint64 {
+func (h *historyIndex) search(q extent) []uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var seqs []uint64
-	for _, e := range h.rt.Search(rect) {
-		ext := h.ext[e.ID]
-		if ext.maxT < minT || ext.minT > maxT {
+	for b, sum := range h.blocks {
+		if !sum.meets(q) {
 			continue
 		}
-		seq, err := strconv.ParseUint(e.ID, 10, 64)
-		if err != nil {
-			continue
+		for _, e := range h.block(b) {
+			if e.meets(q) {
+				seqs = append(seqs, e.seq)
+			}
 		}
-		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs
+}
+
+// readWindow reads the chunk records seqs (ascending) back from the
+// WAL with one seq-range read and passes each of their events inside
+// q to fn, in seq order. Records in the span that are not in seqs are
+// skipped by walking seqs in step with the read; a seq the read never
+// reaches (truncated by retention since the search) is passed over.
+func readWindow(wal *store.Log, seqs []uint64, q extent, fn func(walEvent) error) error {
+	if len(seqs) == 0 {
+		return nil
+	}
+	return wal.ReadRange(seqs[0], seqs[len(seqs)-1], func(rec store.Record) error {
+		for len(seqs) > 0 && seqs[0] < rec.Seq {
+			seqs = seqs[1:]
+		}
+		if len(seqs) == 0 || seqs[0] != rec.Seq || rec.Type != recChunk {
+			return nil
+		}
+		var c walChunk
+		if err := decodeRec(rec.Payload, &c); err != nil {
+			return err
+		}
+		for _, e := range c.Events {
+			if q.rect.Contains(geo.Pt(e.X, e.Y)) && e.T >= q.minT && e.T <= q.maxT {
+				if err := fn(e); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // queryFloatAny parses a float query parameter admitting any finite
@@ -174,21 +249,13 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, (&paramError{key: "format", value: format}).Error(), http.StatusBadRequest)
 		return
 	}
-	rect := geo.Rect{Min: geo.Pt(minX, minY), Max: geo.Pt(maxX, maxY)}
-	seqs := reg.hist.search(rect, minT, maxT)
+	q := extent{rect: geo.Rect{Min: geo.Pt(minX, minY), Max: geo.Pt(maxX, maxY)}, minT: minT, maxT: maxT}
+	seqs := reg.hist.search(q)
 	// X-Sidq-History-Min-Seq is the retained floor: the oldest WAL seq
 	// still on disk. A client paging through time can tell "no data"
 	// from "data aged out" by comparing it with the chunk seqs it saw.
 	w.Header().Set("X-Sidq-Chunks", strconv.Itoa(len(seqs)))
 	w.Header().Set("X-Sidq-History-Min-Seq", strconv.FormatUint(reg.wal.FirstSeq(), 10))
-	inWindow := func(e walEvent) bool {
-		return e.X >= minX && e.X <= maxX && e.Y >= minY && e.Y <= maxY && e.T >= minT && e.T <= maxT
-	}
-	want := map[uint64]bool{}
-	for _, seq := range seqs {
-		want[seq] = true
-	}
-
 	if format == "csv" {
 		// CSV stays buffered: WriteCSV needs the rows grouped into
 		// per-source trajectories, so the full result set (and the
@@ -197,31 +264,17 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 		var results []streamResult
 		var srcs []string
 		srcSeen := map[string]bool{}
-		if len(seqs) > 0 {
-			err := reg.wal.ReadRange(seqs[0], seqs[len(seqs)-1], func(rec store.Record) error {
-				if rec.Type != recChunk || !want[rec.Seq] {
-					return nil
-				}
-				var c walChunk
-				if err := decodeRec(rec.Payload, &c); err != nil {
-					return err
-				}
-				for _, e := range c.Events {
-					if !inWindow(e) {
-						continue
-					}
-					results = append(results, streamResult{Source: e.Src, T: e.T, X: e.X, Y: e.Y})
-					if !srcSeen[e.Src] {
-						srcSeen[e.Src] = true
-						srcs = append(srcs, e.Src)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
-				return
+		err := readWindow(reg.wal, seqs, q, func(e walEvent) error {
+			results = append(results, streamResult{Source: e.Src, T: e.T, X: e.X, Y: e.Y})
+			if !srcSeen[e.Src] {
+				srcSeen[e.Src] = true
+				srcs = append(srcs, e.Src)
 			}
+			return nil
+		})
+		if err != nil {
+			http.Error(w, "history read: "+err.Error(), http.StatusInternalServerError)
+			return
 		}
 		w.Header().Set("X-Sidq-Points", strconv.Itoa(len(results)))
 		w.Header().Set("Content-Type", "text/csv")
@@ -239,26 +292,11 @@ func (s *Service) handleHistoryRange(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	wrote := false
-	if len(seqs) == 0 {
-		return
-	}
-	err := reg.wal.ReadRange(seqs[0], seqs[len(seqs)-1], func(rec store.Record) error {
-		if rec.Type != recChunk || !want[rec.Seq] {
-			return nil
-		}
-		var c walChunk
-		if err := decodeRec(rec.Payload, &c); err != nil {
+	err := readWindow(reg.wal, seqs, q, func(e walEvent) error {
+		if err := enc.Encode(streamResult{Source: e.Src, T: e.T, X: e.X, Y: e.Y}); err != nil {
 			return err
 		}
-		for _, e := range c.Events {
-			if !inWindow(e) {
-				continue
-			}
-			if err := enc.Encode(streamResult{Source: e.Src, T: e.T, X: e.X, Y: e.Y}); err != nil {
-				return err
-			}
-			wrote = true
-		}
+		wrote = true
 		return nil
 	})
 	if err != nil {

@@ -161,7 +161,7 @@ func newSessionRegistry(s *Service) *sessionRegistry {
 		now:       time.Now,
 		sessions:  map[string]*streamSession{},
 		stopCh:    make(chan struct{}),
-		hist:      newHistoryIndex(),
+		hist:      &historyIndex{},
 		snapEvery: s.cfg.Durability.SnapshotEvery,
 		m: streamMetrics{
 			open:        s.metrics.Gauge(mStreamOpen),

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -46,6 +47,40 @@ func BenchmarkStoreAppendParallel(b *testing.B) {
 			if _, err := l.Append(2, payload); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkLogReadRange/active reads a fixed 16-record window from the
+// tail of an active segment holding n records. The log keeps each
+// active record's offset, so ns/op should stay flat as n grows.
+func BenchmarkLogReadRange(b *testing.B) {
+	payload := bytes.Repeat([]byte{'x'}, 1024) // about one ingest chunk
+	b.Run("active", func(b *testing.B) {
+		for _, n := range []int{1 << 10, 8 << 10} {
+			l, _, err := store.Open(b.TempDir()+"/wal", store.Options{Fsync: store.FsyncOff})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := l.Append(2, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			from := uint64(n - 32)
+			b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					got := 0
+					if err := l.ReadRange(from, from+15, func(store.Record) error {
+						got++
+						return nil
+					}); err != nil || got != 16 {
+						b.Fatalf("read %d records, err %v", got, err)
+					}
+				}
+			})
+			l.Close()
 		}
 	})
 }

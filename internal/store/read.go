@@ -16,9 +16,16 @@ func (l *Log) Replay(fn func(Record) error) error {
 
 // ReadRange streams records with from <= Seq <= to, in seq order,
 // through fn. Sealed segments that do not overlap the range are not
-// read at all — the manifest's seq ranges are the coarse index. The
-// active segment is snapshotted under the log lock (flush + copy) so
-// reads never observe a partially written record.
+// read at all — the manifest's seq ranges are the coarse index. From
+// the active segment only the requested span is read: the log keeps
+// the byte offset of every active record, so one ReadAt under the log
+// lock (after a buffer flush) copies exactly the frames in range, and
+// their CRC checks and fn run after the lock is released. Every
+// emitted record verifies; a span that reads short or hits a frame
+// that fails to verify (a poisoned or closed log whose buffer never
+// reached the file) ends the read there, so only what reached the
+// file is ever returned. Payloads alias a buffer private to this
+// call, never the log's memory.
 //
 // A TruncateFront running concurrently may remove segments after the
 // sealed list is copied; those segments are silently skipped, so the
@@ -36,10 +43,10 @@ func (l *Log) ReadRange(from, to uint64, fn func(Record) error) error {
 			return err
 		}
 	}
-	recs, first := l.snapshotActive()
-	// A roll between the sealed-list copy and the active snapshot moves
+	span, first, spanFirst := l.readActive(from, to)
+	// A roll between the sealed-list copy and the active read moves
 	// [wantFirst, first) into segments that are in neither: sealed too
-	// late for the copy, inactive too early for the snapshot. They are
+	// late for the copy, inactive too early for the read. They are
 	// sealed (immutable) now, so read them from the current manifest
 	// before the active records — seq order is preserved because every
 	// copied segment ends below wantFirst.
@@ -58,10 +65,17 @@ func (l *Log) ReadRange(from, to uint64, fn func(Record) error) error {
 			}
 		}
 	}
-	if first > to {
-		return nil
+	for seq := spanFirst; len(span) > 0; seq++ {
+		typ, payload, size, err := parseRecord(span)
+		if err != nil {
+			return nil // the durable log ends here
+		}
+		if err := fn(Record{Seq: seq, Type: typ, Payload: payload}); err != nil {
+			return err
+		}
+		span = span[size:]
 	}
-	return emitRange(recs, first, from, to, fn)
+	return nil
 }
 
 // emitSealed reads one sealed segment, verifies it against its
@@ -116,9 +130,11 @@ func (l *Log) sealedListed(name string) bool {
 	return false
 }
 
-// snapshotActive flushes and scans the active segment under the log
-// lock, returning copied records and the segment's first seq.
-func (l *Log) snapshotActive() ([]Record, uint64) {
+// readActive flushes the write buffer and reads the active segment's
+// records in [from, to] with one ReadAt, all under the log lock. It
+// returns the bytes read (short if the file is), the segment's first
+// seq, and the seq of the span's first record.
+func (l *Log) readActive(from, to uint64) (span []byte, first, spanFirst uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err == nil {
@@ -126,15 +142,19 @@ func (l *Log) snapshotActive() ([]Record, uint64) {
 			l.failLocked(err)
 		}
 	}
-	// On a poisoned or closed log only what already reached the file is
-	// readable; the scan below stops at any tear.
-	first := l.activeFirst
-	data, err := readAll(l.active)
-	if err != nil {
-		return nil, first
+	first = l.activeFirst
+	spanFirst = max(from, first)
+	n := uint64(len(l.activeOffs))
+	if spanFirst-first >= n || to < spanFirst {
+		return nil, first, spanFirst
 	}
-	res := scanSegment(data)
-	return res.records, first
+	lo, hi := l.activeOffs[spanFirst-first], l.activeSize
+	if to < first+n-1 {
+		hi = l.activeOffs[to-first+1]
+	}
+	span = make([]byte, hi-lo)
+	k, _ := l.active.ReadAt(span, lo) // a short read ends the span; see ReadRange
+	return span[:k], first, spanFirst
 }
 
 // emitRange numbers recs from firstSeq and forwards those in [from,to].

@@ -36,7 +36,10 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one durable log entry. Seq is assigned by the log,
-// contiguous from 1; Type and Payload are the caller's.
+// contiguous from 1; Type and Payload are the caller's. A record
+// handed out by a read aliases its Payload into a buffer that read
+// allocated for itself, never into the log's memory: it stays valid
+// after the callback returns, and nothing else writes to it.
 type Record struct {
 	Seq     uint64
 	Type    byte
@@ -91,7 +94,7 @@ func parseRecord(b []byte) (typ byte, payload []byte, size int64, err error) {
 }
 
 // scanResult is what scanning one segment's bytes yields: the records
-// (payloads copied out of the scan buffer), the byte offset of the end
+// (payloads aliasing the scanned bytes), the byte offset of the end
 // of the last good record, and whether the segment ended in a torn or
 // corrupt frame.
 type scanResult struct {
@@ -101,7 +104,8 @@ type scanResult struct {
 }
 
 // scanSegment walks the framed records in b front to back, stopping at
-// the first frame that fails to verify.
+// the first frame that fails to verify. Every caller scans a buffer it
+// just read for itself, so payloads alias b rather than being copied.
 func scanSegment(b []byte) scanResult {
 	var res scanResult
 	off := int64(0)
@@ -111,7 +115,7 @@ func scanSegment(b []byte) scanResult {
 			res.torn = true
 			break
 		}
-		res.records = append(res.records, Record{Type: typ, Payload: append([]byte(nil), payload...)})
+		res.records = append(res.records, Record{Type: typ, Payload: payload})
 		off += size
 	}
 	res.good = off

@@ -121,8 +121,9 @@ type Log struct {
 	mu          sync.Mutex // guards buffered writes + the fields below
 	active      File
 	w           *bufio.Writer
-	activeFirst uint64 // first seq in the active segment
-	activeSize  int64  // bytes appended to the active segment (incl. buffered)
+	activeFirst uint64  // first seq in the active segment
+	activeSize  int64   // bytes appended to the active segment (incl. buffered)
+	activeOffs  []int64 // byte offset of each active-segment record, by seq - activeFirst
 	activeBorn  time.Time
 	nextSeq     uint64
 	sealed      []SegmentInfo
@@ -237,6 +238,7 @@ func (l *Log) recover() (RecoveryInfo, error) {
 	adopted := false
 	var activeName string
 	var activeGood int64
+	var activeRecs []Record
 	for i, first := range tail {
 		name := segmentName(first)
 		if first != l.nextSeq {
@@ -268,7 +270,7 @@ func (l *Log) recover() (RecoveryInfo, error) {
 				info.TornBytes += int64(len(data)) - res.good
 				obsTornTruncation()
 			}
-			activeName, activeGood = name, res.good
+			activeName, activeGood, activeRecs = name, res.good, res.records
 			for _, seq := range tail[i+1:] {
 				if err := fs.Remove(path.Join(l.dir, segmentName(seq))); err != nil {
 					return info, fmt.Errorf("store: remove unreachable %s: %w", segmentName(seq), err)
@@ -314,6 +316,11 @@ func (l *Log) recover() (RecoveryInfo, error) {
 		}
 		l.active = f
 		l.activeSize = activeGood
+		var off int64
+		for _, r := range activeRecs {
+			l.activeOffs = append(l.activeOffs, off)
+			off += recordSize(r.Payload)
+		}
 	} else {
 		name := segmentName(l.activeFirst)
 		f, err := fs.Create(path.Join(l.dir, name))
@@ -378,6 +385,7 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 		return 0, err
 	}
 	l.nextSeq++
+	l.activeOffs = append(l.activeOffs, l.activeSize)
 	l.activeSize += int64(len(l.scratch))
 	mode := l.opt.Fsync
 	l.mu.Unlock()
@@ -556,6 +564,7 @@ func (l *Log) rollLocked() error {
 	l.active = f
 	l.activeFirst = l.nextSeq
 	l.activeSize = 0
+	l.activeOffs = l.activeOffs[:0]
 	l.activeBorn = l.opt.Now()
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.markDurable(info.LastSeq)

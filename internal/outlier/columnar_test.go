@@ -111,6 +111,9 @@ func TestRemoveColsMatchesAoS(t *testing.T) {
 // with warm flag buffers and pooled scratch, the columnar detectors do
 // not allocate.
 func TestColumnarDetectorsReuseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts, so pooled scratch reallocates")
+	}
 	tr := randTrack(rand.New(rand.NewSource(24)), 256, false)
 	var c trajectory.Columns
 	c.FromTrajectory(tr)

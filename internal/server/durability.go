@@ -11,8 +11,8 @@ package server
 // dedup on an optional ?seq=), and drains are logged so replay
 // re-emits and discards what was already delivered.
 //
-// WAL record types (payloads are gob; the WAL is an internal file
-// format versioned with the binary):
+// WAL record kinds (payload layouts and the type-code versioning rule
+// are in walcodec.go):
 //
 //	recSessionOpen   a session was created
 //	recChunk         one accepted ingest chunk, in apply order
@@ -26,8 +26,6 @@ package server
 // chunk records through a seq-ordered chunk-extent index.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -38,15 +36,6 @@ import (
 	"sidq/internal/stream"
 	"sidq/internal/trajectory"
 	"sidq/internal/uncertain"
-)
-
-// WAL record types.
-const (
-	recSessionOpen  byte = 1
-	recChunk        byte = 2
-	recDrain        byte = 3
-	recSessionClose byte = 4
-	recSnapshot     byte = 5
 )
 
 // DurabilityConfig enables the durable trajectory store. Zero Dir
@@ -87,7 +76,7 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 // fail rather than claim durability the log cannot provide (503).
 var errDurability = errors.New("durable log unavailable")
 
-// WAL payload DTOs. Exported fields only — gob.
+// WAL payload DTOs. Exported fields only: the legacy decoder is gob.
 type walOpen struct {
 	Session  string
 	Lateness float64
@@ -141,25 +130,9 @@ type walSnapshot struct {
 	Sources   []walSource
 }
 
-func encodeRec(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeRec(payload []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
-}
-
-// persist appends one typed record; failures are wrapped in
+// persist appends one encoded record; failures are wrapped in
 // errDurability so handlers map them to 503.
-func (reg *sessionRegistry) persist(typ byte, v interface{}) (uint64, error) {
-	payload, err := encodeRec(v)
-	if err != nil {
-		return 0, fmt.Errorf("%w: encode: %v", errDurability, err)
-	}
+func (reg *sessionRegistry) persist(typ byte, payload []byte) (uint64, error) {
 	seq, err := reg.wal.Append(typ, payload)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", errDurability, err)
@@ -167,12 +140,11 @@ func (reg *sessionRegistry) persist(typ byte, v interface{}) (uint64, error) {
 	return seq, nil
 }
 
-func toWalEvents(events []stream.Event[srcPoint]) []walEvent {
-	out := make([]walEvent, len(events))
-	for i, e := range events {
-		out[i] = walEvent{Src: e.Value.src, T: e.Value.pt.T, X: e.Value.pt.Pos.X, Y: e.Value.pt.Pos.Y}
+func appendWalEvents(dst []walEvent, events []stream.Event[srcPoint]) []walEvent {
+	for _, e := range events {
+		dst = append(dst, walEvent{Src: e.Value.src, T: e.Value.pt.T, X: e.Value.pt.Pos.X, Y: e.Value.pt.Pos.Y})
 	}
-	return out
+	return dst
 }
 
 func fromWalEvents(evs []walEvent) []stream.Event[srcPoint] {
@@ -190,19 +162,22 @@ func fromWalEvents(evs []walEvent) []stream.Event[srcPoint] {
 // for history queries. Caller holds ss.mu.
 func (ss *streamSession) persistChunkLocked(events []stream.Event[srcPoint], clientSeq uint64) error {
 	reg := ss.reg
-	evs := toWalEvents(events)
-	seq, err := reg.persist(recChunk, walChunk{
-		Session: ss.id, ChunkIdx: ss.chunkIdx + 1, ClientSeq: clientSeq, Events: evs,
-	})
+	s := getWalScratch()
+	defer s.put()
+	s.evs = appendWalEvents(s.evs, events)
+	c := walChunk{Session: ss.id, ChunkIdx: ss.chunkIdx + 1, ClientSeq: clientSeq, Events: s.evs}
+	s.buf = c.appendTo(s.buf[:0], &s.dict)
+	seq, err := reg.persist(recChunk, s.buf)
 	if err != nil {
 		return err
 	}
-	reg.hist.add(seq, evs)
+	reg.hist.add(seq, s.evs)
 	return nil
 }
 
 // snapshotStateLocked captures the session's complete processing
-// state. Caller holds ss.mu.
+// state. Caller holds ss.mu and encodes the snapshot before releasing
+// it: SrcIDs and Results alias the session's own slices.
 func (ss *streamSession) snapshotStateLocked() walSnapshot {
 	snap := walSnapshot{
 		Session:   ss.id,
@@ -211,8 +186,8 @@ func (ss *streamSession) snapshotStateLocked() walSnapshot {
 		Lanes:     len(ss.lanes),
 		ChunkIdx:  ss.chunkIdx,
 		ClientSeq: ss.clientSeq,
-		SrcIDs:    append([]string(nil), ss.srcIDs...),
-		Results:   append([]streamResult(nil), ss.results...),
+		SrcIDs:    ss.srcIDs,
+		Results:   ss.results,
 		Ingested:  ss.ingested,
 		Emitted:   ss.emitted,
 		Late:      ss.late,
@@ -241,7 +216,11 @@ func (ss *streamSession) snapshotStateLocked() walSnapshot {
 // slower (and the poisoned log fails the next ingest anyway).
 func (ss *streamSession) snapshotLocked() {
 	reg := ss.reg
-	seq, err := reg.persist(recSnapshot, ss.snapshotStateLocked())
+	snap := ss.snapshotStateLocked()
+	s := getWalScratch()
+	s.buf = snap.appendTo(s.buf[:0], &s.dict)
+	seq, err := reg.persist(recSnapshot, s.buf)
+	s.put()
 	if err != nil {
 		reg.svc.logf("stream session %s: snapshot failed: %v", ss.id, err)
 		return
@@ -256,7 +235,7 @@ func (ss *streamSession) snapshotLocked() {
 // is going away regardless — a replay resurrecting it only costs the
 // idle janitor one eviction).
 func (ss *streamSession) persistCloseLocked(evicted bool) {
-	if _, err := ss.reg.persist(recSessionClose, walClose{Session: ss.id, Evicted: evicted}); err != nil {
+	if _, err := ss.reg.persist(recSessionClose, walClose{Session: ss.id, Evicted: evicted}.appendTo(nil)); err != nil {
 		ss.reg.svc.logf("stream session %s: close record failed: %v", ss.id, err)
 	}
 }
@@ -282,16 +261,18 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 	records := 0
 	err := l.Replay(func(r store.Record) error {
 		records++
-		switch r.Type {
+		// A legacy type code (codec version 0) names the same record
+		// kind as its version-1 code; decodeRec picks the codec.
+		switch r.Type | codecV1 {
 		case recSessionOpen:
 			var o walOpen
-			if err := decodeRec(r.Payload, &o); err != nil {
+			if err := decodeRec(r.Type, r.Payload, &o); err != nil {
 				return fmt.Errorf("record %d (open): %w", r.Seq, err)
 			}
 			reg.restoreOpen(o, now, r.Seq)
 		case recChunk:
 			var c walChunk
-			if err := decodeRec(r.Payload, &c); err != nil {
+			if err := decodeRec(r.Type, r.Payload, &c); err != nil {
 				return fmt.Errorf("record %d (chunk): %w", r.Seq, err)
 			}
 			// History outlives sessions: index every chunk, even ones
@@ -302,7 +283,7 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 			}
 		case recDrain:
 			var d walDrain
-			if err := decodeRec(r.Payload, &d); err != nil {
+			if err := decodeRec(r.Type, r.Payload, &d); err != nil {
 				return fmt.Errorf("record %d (drain): %w", r.Seq, err)
 			}
 			if ss, ok := reg.sessions[d.Session]; ok {
@@ -314,7 +295,7 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 			}
 		case recSessionClose:
 			var c walClose
-			if err := decodeRec(r.Payload, &c); err != nil {
+			if err := decodeRec(r.Type, r.Payload, &c); err != nil {
 				return fmt.Errorf("record %d (close): %w", r.Seq, err)
 			}
 			if ss, ok := reg.sessions[c.Session]; ok {
@@ -324,12 +305,12 @@ func (reg *sessionRegistry) recoverFrom(l *store.Log) error {
 			}
 		case recSnapshot:
 			var snap walSnapshot
-			if err := decodeRec(r.Payload, &snap); err != nil {
+			if err := decodeRec(r.Type, r.Payload, &snap); err != nil {
 				return fmt.Errorf("record %d (snapshot): %w", r.Seq, err)
 			}
 			reg.restoreSnapshot(snap, now, r.Seq)
 		default:
-			return fmt.Errorf("record %d: unknown type %d", r.Seq, r.Type)
+			return fmt.Errorf("record %d: unknown type %#x", r.Seq, r.Type)
 		}
 		return nil
 	})

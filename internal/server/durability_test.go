@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"sidq/internal/faults"
+	"sidq/internal/roadnet"
 	"sidq/internal/store"
 )
 
@@ -426,5 +428,120 @@ func TestRecoveredSessionsJanitored(t *testing.T) {
 			t.Fatal("restored-at-MaxSessions registry never unwedged: janitor not started by recovery")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// matchChunks is a deterministic two-vehicle feed along the streets of
+// a jitter-free roadnet.GridCity with 100 m blocks: each chunk carries
+// four noisy samples per vehicle, the second vehicle one step late.
+func matchChunks(n int) []string {
+	rng := rand.New(rand.NewSource(17))
+	chunks := make([]string, n)
+	for c := 0; c < n; c++ {
+		var b strings.Builder
+		for i := 0; i < 4; i++ {
+			tm := float64(c*4 + i)
+			b.WriteString(chunkRow("veh-east", tm, 9*tm, rng.NormFloat64()*3))
+			b.WriteString(chunkRow("veh-north", tm-0.5, 200+rng.NormFloat64()*3, 7*tm))
+		}
+		chunks[c] = b.String()
+	}
+	return chunks
+}
+
+// TestDurableMatcherSnapshotRestart: with a road network every source
+// carries an online HMM matcher, and a snapshot every 2 chunks
+// checkpoints its lattice mid-decision (the matcher lags 5 points).
+// After a crash, the restarted server — restored from those snapshots
+// — must drain byte for byte what an uncrashed one does, edges
+// included.
+func TestDurableMatcherSnapshotRestart(t *testing.T) {
+	g := roadnet.GridCity(roadnet.GridCityOptions{NX: 6, NY: 6, Spacing: 100, Seed: 3})
+	chunks := matchChunks(9)
+	// Draining at chunk 2 leaves results matched onto edge 0 undrained
+	// in the snapshots; gob, which omits zero values, restored their
+	// edge as absent.
+	const drainAt = 2
+
+	ctrl := newTestService(Config{Stream: StreamConfig{Network: g}})
+	ctrlSrv := httptest.NewServer(ctrl)
+	ctrlMid, want := runSession(t, ctrlSrv, chunks, drainAt)
+	ctrlSrv.Close()
+	ctrl.Close()
+	if !strings.Contains(want, `"edge":`) {
+		t.Fatalf("control run matched nothing:\n%s", want)
+	}
+
+	cfg := func(fs store.FS) Config {
+		return Config{
+			Logger:     DiscardLogger(),
+			Stream:     StreamConfig{Network: g},
+			Durability: DurabilityConfig{Dir: "wal", Fsync: store.FsyncAlways, SnapshotEvery: 2, FS: fs},
+		}
+	}
+	fs := faults.NewCrashFS()
+	svc, err := OpenService(cfg(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc)
+	id := openStream(t, srv, "lateness=2&maxspeed=50&lanes=3")
+	for i, c := range chunks {
+		if i == drainAt {
+			if mid, _ := drainStream(t, srv, id, ""); mid != ctrlMid {
+				t.Fatalf("mid drain differs before any crash:\nwant:\n%s\ngot:\n%s", ctrlMid, mid)
+			}
+		}
+		if _, resp := ingestChunkSeq(t, srv, id, uint64(i+1), c); resp.StatusCode != http.StatusOK {
+			t.Fatalf("chunk %d status %d", i, resp.StatusCode)
+		}
+	}
+	srv.Close() // kill -9
+
+	// The test is only as good as its snapshots: one must hold a
+	// matcher with undecided points.
+	l, _, err := store.Open("wal", store.Options{FS: fs.Crash(0, true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := 0
+	err = l.Replay(func(r store.Record) error {
+		if r.Type != recSnapshot {
+			return nil
+		}
+		var snap walSnapshot
+		if err := decodeRec(r.Type, r.Payload, &snap); err != nil {
+			return err
+		}
+		for _, ws := range snap.Sources {
+			if ws.Matcher != nil {
+				pending = max(pending, len(ws.Matcher.Pts))
+			}
+		}
+		return nil
+	})
+	l.Close()
+	if err != nil || pending == 0 {
+		t.Fatalf("no snapshot caught a matcher mid-lattice (max pending %d, err %v)", pending, err)
+	}
+
+	for seed := int64(0); seed < 3; seed++ {
+		svc2, err := OpenService(cfg(fs.Crash(seed, true)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := svc2.Metrics().Counter(mStreamRestored).Value(); v < 1 {
+			t.Fatalf("seed %d: no snapshot restore (counter %v)", seed, v)
+		}
+		srv2 := httptest.NewServer(svc2)
+		got, resp := drainStream(t, srv2, id, "flush=1")
+		srv2.Close()
+		svc2.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: drain status %d", seed, resp.StatusCode)
+		}
+		if got != want {
+			t.Fatalf("seed %d: recovered drain differs from uninterrupted run:\nwant:\n%s\ngot:\n%s", seed, want, got)
+		}
 	}
 }

@@ -40,6 +40,11 @@ func (e extent) meets(q extent) bool {
 	return e.rect.Intersects(q.rect) && e.minT <= q.maxT && e.maxT >= q.minT
 }
 
+// holds reports whether the point (x, y) at time t lies inside e.
+func (e extent) holds(t, x, y float64) bool {
+	return e.rect.Contains(geo.Pt(x, y)) && t >= e.minT && t <= e.maxT
+}
+
 func (e extent) union(o extent) extent {
 	return extent{
 		rect: e.rect.Union(o.rect),
@@ -175,21 +180,28 @@ func readWindow(wal *store.Log, seqs []uint64, q extent, fn func(walEvent) error
 	if len(seqs) == 0 {
 		return nil
 	}
+	var h chunkHead
+	var srcs []string
 	return wal.ReadRange(seqs[0], seqs[len(seqs)-1], func(rec store.Record) error {
 		for len(seqs) > 0 && seqs[0] < rec.Seq {
 			seqs = seqs[1:]
 		}
-		if len(seqs) == 0 || seqs[0] != rec.Seq || rec.Type != recChunk {
+		if len(seqs) == 0 || seqs[0] != rec.Seq {
 			return nil
 		}
-		var c walChunk
-		if err := decodeRec(rec.Payload, &c); err != nil {
-			return err
-		}
-		for _, e := range c.Events {
-			if q.rect.Contains(geo.Pt(e.X, e.Y)) && e.T >= q.minT && e.T <= q.maxT {
-				if err := fn(e); err != nil {
-					return err
+		switch rec.Type {
+		case recChunk:
+			return windowChunk(rec.Payload, q, &h, &srcs, fn)
+		case recChunk &^ codecV1: // a legacy gob chunk
+			var c walChunk
+			if err := decodeLegacy(rec.Payload, &c); err != nil {
+				return err
+			}
+			for _, e := range c.Events {
+				if q.holds(e.T, e.X, e.Y) {
+					if err := fn(e); err != nil {
+						return err
+					}
 				}
 			}
 		}

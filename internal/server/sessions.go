@@ -56,7 +56,7 @@ type StreamConfig struct {
 	IdleTTL        time.Duration // idle sessions are evicted after this (default 5m)
 	JanitorEvery   time.Duration // eviction sweep period (default 15s)
 	Lateness       float64       // default watermark lateness, event-time seconds (default 5)
-	Lanes          int           // default lanes per session (default 4)
+	Lanes          int           // default lanes per session (default 4, at most maxLanes)
 
 	// Network, when set, enables online map matching: each source gets
 	// an uncertain.OnlineMatcher over this graph and emitted points
@@ -90,6 +90,7 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Lanes <= 0 {
 		c.Lanes = 4
 	}
+	c.Lanes = min(c.Lanes, maxLanes)
 	if c.SnapCell <= 0 {
 		c.SnapCell = 100
 	}
@@ -280,7 +281,7 @@ func (reg *sessionRegistry) open(lateness, maxSpeed float64, lanes int) (*stream
 	if reg.wal != nil {
 		seq, err := reg.persist(recSessionOpen, walOpen{
 			Session: ss.id, Lateness: lateness, MaxSpeed: maxSpeed, Lanes: lanes,
-		})
+		}.appendTo(nil))
 		if err != nil {
 			reg.mu.Lock()
 			delete(reg.sessions, ss.id)
@@ -601,7 +602,7 @@ func (ss *streamSession) drain(flush bool, now time.Time) ([]streamResult, []str
 	// runs: replay re-runs it and discards the output, and the rows
 	// this response delivers are never delivered again after a crash.
 	if ss.reg.wal != nil && (flush || len(ss.results) > 0) {
-		if _, err := ss.reg.persist(recDrain, walDrain{Session: ss.id, Flush: flush}); err != nil {
+		if _, err := ss.reg.persist(recDrain, walDrain{Session: ss.id, Flush: flush}.appendTo(nil)); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -710,7 +711,7 @@ func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	lanes, err := queryIntRange(r, "lanes", s.cfg.Stream.Lanes, 1, 64)
+	lanes, err := queryIntRange(r, "lanes", s.cfg.Stream.Lanes, 1, maxLanes)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

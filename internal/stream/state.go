@@ -5,8 +5,9 @@ package stream
 // session resumes with an identical watermark and pending buffer (see
 // DESIGN.md "Durability & recovery").
 
-// ReordererState is a serializable snapshot of a Reorderer. All fields
-// are exported so encoding/gob round-trips it.
+// ReordererState is a serializable snapshot of a Reorderer. Its fields
+// are exported so a WAL codec can write and read them one by one (the
+// server's lays them out in internal/server/walcodec.go).
 type ReordererState[T any] struct {
 	Lateness  float64
 	Buf       []Event[T] // pending events, time-sorted

@@ -225,12 +225,21 @@ func benchNodePairs(g *roadnet.Graph, n int, seed int64) [][2]roadnet.NodeID {
 	return pairs
 }
 
+// BenchmarkKalmanSmooth times the RTS smoother per trajectory. n=75 is
+// the per-trajectory size of the clean-batch bodies (~300 points over 4
+// sources, ~3000 over 40) and n=3000 a whole large body as one
+// trajectory.
 func BenchmarkKalmanSmooth(b *testing.B) {
-	truth := simulate.RandomWalk("w", geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}, 1000, 2, 1, 5)
-	noisy := simulate.AddGaussianNoise(truth, 8, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		refine.KalmanSmoothTrajectory(noisy, 1, 8)
+	for _, n := range []int{75, 1000, 3000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			truth := simulate.RandomWalk("w", geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1000, 1000)}, n, 2, 1, 5)
+			noisy := simulate.AddGaussianNoise(truth, 8, 6)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refine.KalmanSmoothTrajectory(noisy, 1, 8)
+			}
+		})
 	}
 }
 

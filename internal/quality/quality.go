@@ -14,7 +14,10 @@ package quality
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 	"strings"
+	"sync"
 
 	"sidq/internal/geo"
 	"sidq/internal/stats"
@@ -308,15 +311,103 @@ func duplicateFraction(tr *trajectory.Trajectory) float64 {
 	if tr.Len() == 0 {
 		return 0
 	}
-	seen := make(map[trajectory.Point]bool, tr.Len())
+	return float64(duplicateCount(tr.Points, dupMaxProbe)) / float64(tr.Len())
+}
+
+// dupMaxProbe caps one linear-probe run in the duplicate table. At the
+// table's load factor of at most 1/2 a random hash practically never
+// probes this far, so a longer run means colliding input; the count
+// then falls back to a Go map and stays linear whatever the body holds.
+const dupMaxProbe = 32
+
+// dupSeed keys the duplicate-table hash per process, so colliding
+// points cannot be computed ahead of time.
+var dupSeed = rand.Uint64()
+
+// dupTables pools the duplicate tables: Assess counts duplicates once
+// per trajectory per request.
+var dupTables = sync.Pool{New: func() any { return new([]uint32) }}
+
+// duplicateCount returns how many points == an earlier point, as a
+// map[trajectory.Point]bool would count them: ±0 match and a point
+// with a NaN field matches nothing, itself included.
+func duplicateCount(pts []trajectory.Point, maxProbe int) int {
+	if dup, ok := tableDuplicates(pts, maxProbe); ok {
+		return dup
+	}
+	seen := make(map[trajectory.Point]bool, len(pts))
 	dup := 0
-	for _, p := range tr.Points {
+	for _, p := range pts {
 		if seen[p] {
 			dup++
 		}
 		seen[p] = true
 	}
-	return float64(dup) / float64(tr.Len())
+	return dup
+}
+
+// tableDuplicates counts duplicates in a pooled open-addressing table
+// of 1-based point indexes (0 = empty slot), sized to the next power of
+// two >= 2n. It reports false when a probe run exceeds maxProbe.
+func tableDuplicates(pts []trajectory.Point, maxProbe int) (int, bool) {
+	if len(pts) > math.MaxUint32/2 {
+		return 0, false
+	}
+	size := 2
+	for size < 2*len(pts) {
+		size <<= 1
+	}
+	tp := dupTables.Get().(*[]uint32)
+	defer dupTables.Put(tp)
+	if cap(*tp) < size {
+		*tp = make([]uint32, size)
+	}
+	table := (*tp)[:size]
+	clear(table)
+	mask := uint64(size - 1)
+	dup := 0
+	for i, p := range pts {
+		if p != p {
+			continue // a NaN field: never equal to any point
+		}
+		h := pointHash(p) & mask
+		for probe := 0; ; probe++ {
+			if probe > maxProbe {
+				return 0, false
+			}
+			slot := table[h]
+			if slot == 0 {
+				table[h] = uint32(i + 1)
+				break
+			}
+			if pts[slot-1] == p {
+				dup++
+				break
+			}
+			h = (h + 1) & mask
+		}
+	}
+	return dup, true
+}
+
+// pointHash mixes the point's canonical bits with dupSeed. Equal points
+// hash alike: ±0 share one canonical value, and NaN never reaches here.
+func pointHash(p trajectory.Point) uint64 {
+	h := mix64(canonicalBits(p.T)^dupSeed, canonicalBits(p.Pos.X)^0x9e3779b97f4a7c15)
+	return mix64(h^canonicalBits(p.Pos.Y), dupSeed^0xbf58476d1ce4e5b9)
+}
+
+func canonicalBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
+// mix64 folds the 128-bit product of a and b into 64 bits.
+func mix64(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 // ReadingsContext supplies side information for assessing STID

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sidq/internal/geo"
-	"sidq/internal/stats"
 	"sidq/internal/trajectory"
 )
 
@@ -14,101 +13,45 @@ import (
 // observations: state [x y vx vy], position-only measurements. It is
 // the canonical Bayes-filter instance of motion-based LR.
 //
-// All per-step temporaries live in a scratch block allocated once with
-// the filter, so Predict/Update run allocation-free in steady state. A
-// Kalman value is not safe for concurrent use (create one per
-// trajectory, as the trajectory-level helpers do).
+// State and covariance are inline arrays and every step runs on the
+// fixed-shape kernels of kalman_kernel.go, so Predict/Update allocate
+// nothing. A Kalman value is not safe for concurrent use (create one
+// per trajectory, as the trajectory-level helpers do).
 type Kalman struct {
-	x   *stats.Matrix // 4x1 state
-	p   *stats.Matrix // 4x4 covariance
-	q   float64       // process-noise intensity (acceleration PSD)
-	r   float64       // measurement noise stddev (meters)
-	scr kalmanScratch
-}
-
-// kalmanScratch holds the constant model matrices and reusable
-// temporaries for one filter.
-type kalmanScratch struct {
-	f, ft      *stats.Matrix // 4x4 transition and its transpose
-	qn         *stats.Matrix // 4x4 process noise
-	i4         *stats.Matrix // 4x4 identity
-	t44a, t44b *stats.Matrix // 4x4 temporaries
-	h          *stats.Matrix // 2x4 measurement model (constant)
-	ht         *stats.Matrix // 4x2 its transpose (constant)
-	hp         *stats.Matrix // 2x4 h*p
-	pht, gain  *stats.Matrix // 4x2
-	rm         *stats.Matrix // 2x2 measurement noise (constant)
-	s, sInv    *stats.Matrix // 2x2 innovation covariance and inverse
-	t22        *stats.Matrix // 2x2 inversion workspace
-	y, gy      *stats.Matrix // 2x1 residual, 4x1 correction
-	x1         *stats.Matrix // 4x1 temporary
+	x  [4]float64  // state [x y vx vy]
+	p  [16]float64 // 4x4 covariance, row-major
+	rm [4]float64  // 2x2 measurement noise r^2*I
+	q  float64     // process-noise intensity (acceleration PSD)
 }
 
 // NewKalman returns a filter initialized at pos with zero velocity,
 // the given process-noise intensity q (m/s^2 scale) and measurement
 // noise stddev r (meters).
 func NewKalman(pos geo.Point, q, r float64) *Kalman {
+	k := newKalman(pos, q, r)
+	return &k
+}
+
+func newKalman(pos geo.Point, q, r float64) Kalman {
 	if q <= 0 {
 		q = 1
 	}
 	if r <= 0 {
 		r = 1
 	}
-	x := stats.NewMatrix(4, 1)
-	x.Set(0, 0, pos.X)
-	x.Set(1, 0, pos.Y)
-	p := stats.Identity(4).ScaleBy(100)
-	k := &Kalman{x: x, p: p, q: q, r: r}
-	s := &k.scr
-	s.f = stats.NewMatrix(4, 4)
-	s.ft = stats.NewMatrix(4, 4)
-	s.qn = stats.NewMatrix(4, 4)
-	s.i4 = stats.Identity(4)
-	s.t44a = stats.NewMatrix(4, 4)
-	s.t44b = stats.NewMatrix(4, 4)
-	s.h = stats.MatrixFrom(2, 4,
-		1, 0, 0, 0,
-		0, 1, 0, 0,
-	)
-	s.ht = s.h.Transpose()
-	s.hp = stats.NewMatrix(2, 4)
-	s.pht = stats.NewMatrix(4, 2)
-	s.gain = stats.NewMatrix(4, 2)
-	s.rm = stats.Identity(2).ScaleBy(r * r)
-	s.s = stats.NewMatrix(2, 2)
-	s.sInv = stats.NewMatrix(2, 2)
-	s.t22 = stats.NewMatrix(2, 2)
-	s.y = stats.NewMatrix(2, 1)
-	s.gy = stats.NewMatrix(4, 1)
-	s.x1 = stats.NewMatrix(4, 1)
-	return k
-}
-
-// cvTransitionInto fills f with the constant-velocity transition for a
-// dt-second step.
-func cvTransitionInto(f *stats.Matrix, dt float64) {
-	copy(f.Data, []float64{
-		1, 0, dt, 0,
-		0, 1, 0, dt,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	})
-}
-
-// cvProcessNoiseInto fills qn with the white-acceleration process
-// noise for a dt-second step at intensity q.
-func cvProcessNoiseInto(qn *stats.Matrix, dt, q float64) {
-	dt2 := dt * dt
-	dt3 := dt2 * dt / 3
-	half := dt2 / 2
-	copy(qn.Data, []float64{
-		dt3, 0, half, 0,
-		0, dt3, 0, half,
-		half, 0, dt, 0,
-		0, half, 0, dt,
-	})
-	for i := range qn.Data {
-		qn.Data[i] *= q
+	r2 := r * r
+	return Kalman{
+		x: [4]float64{pos.X, pos.Y, 0, 0},
+		p: [16]float64{
+			100, 0, 0, 0,
+			0, 100, 0, 0,
+			0, 0, 100, 0,
+			0, 0, 0, 100,
+		},
+		// The zeros of r^2*I stay products: 0*r2 is NaN for r = +Inf
+		// or NaN, as in the generic scaled identity.
+		rm: [4]float64{r2, 0 * r2, 0 * r2, r2},
+		q:  q,
 	}
 }
 
@@ -117,39 +60,45 @@ func (k *Kalman) Predict(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	s := &k.scr
-	cvTransitionInto(s.f, dt)
-	stats.MulInto(s.x1, s.f, k.x)
-	k.x.CopyFrom(s.x1)
-	// p = f*p*f' + Q, evaluated in the same order as the allocating
-	// form so results stay bit-identical.
-	stats.MulInto(s.t44a, s.f, k.p)
-	stats.TransposeInto(s.ft, s.f)
-	stats.MulInto(s.t44b, s.t44a, s.ft)
-	cvProcessNoiseInto(s.qn, dt, k.q)
-	stats.AddInto(k.p, s.t44b, s.qn)
+	// x = F*x; F's zero elements are skipped left operands and dt != 0.
+	x := k.x
+	k.x = [4]float64{0 + x[0] + dt*x[2], 0 + x[1] + dt*x[3], 0 + x[2], 0 + x[3]}
+	// p = F*p*F' + Q, in the generic product's evaluation order.
+	var fp [16]float64
+	mulTransition(&fp, dt, &k.p)
+	f := transition(dt)
+	mul44T(&k.p, &fp, &f)
+	addProcessNoise(&k.p, dt, k.q)
 }
 
 // Update folds in a position observation.
 func (k *Kalman) Update(obs geo.Point) {
-	s := &k.scr
-	s.y.Data[0] = obs.X - k.x.At(0, 0)
-	s.y.Data[1] = obs.Y - k.x.At(1, 0)
-	stats.MulInto(s.hp, s.h, k.p)
-	stats.MulInto(s.s, s.hp, s.ht)
-	stats.AddInto(s.s, s.s, s.rm)
-	if err := stats.InverseInto(s.sInv, s.s, s.t22); err != nil {
+	y := [2]float64{obs.X - k.x[0], obs.Y - k.x[1]}
+	pht := mul44x42(&k.p, &hTrans)
+	// s = h*p*h' + R. h*p is rows 0 and 1 of p (0 + 1*p each), and as
+	// a left operand its ±0 are skipped alike, so h*p*h' performs the
+	// terms of rows 0 and 1 of p*h'.
+	var s [4]float64
+	for i := range s {
+		s[i] = pht[i] + k.rm[i]
+	}
+	var sInv [4]float64
+	if !invert(sInv[:], s[:], 2) {
 		return // degenerate covariance: skip the update
 	}
-	stats.MulInto(s.pht, k.p, s.ht)
-	stats.MulInto(s.gain, s.pht, s.sInv)
-	stats.MulInto(s.gy, s.gain, s.y)
-	stats.AddInto(k.x, k.x, s.gy)
+	gain := mul42x22(&pht, &sInv)
+	gy := mul42x21(&gain, &y)
+	for i := range k.x {
+		k.x[i] += gy[i]
+	}
 	// p = (I - gain*h) * p
-	stats.MulInto(s.t44a, s.gain, s.h)
-	stats.SubInto(s.t44a, s.i4, s.t44a)
-	stats.MulInto(s.t44b, s.t44a, k.p)
-	k.p.CopyFrom(s.t44b)
+	var ikh [16]float64
+	mul42x24(&ikh, &gain, &hMat)
+	for i := range ikh {
+		ikh[i] = identity4[i] - ikh[i]
+	}
+	mul44(&ikh, &ikh, &k.p)
+	k.p = ikh
 }
 
 // Step performs Predict(dt) then Update(obs) and returns the position.
@@ -160,19 +109,23 @@ func (k *Kalman) Step(dt float64, obs geo.Point) geo.Point {
 }
 
 // Position returns the current position estimate.
-func (k *Kalman) Position() geo.Point { return geo.Pt(k.x.At(0, 0), k.x.At(1, 0)) }
+func (k *Kalman) Position() geo.Point { return geo.Pt(k.x[0], k.x[1]) }
 
 // Velocity returns the current velocity estimate.
-func (k *Kalman) Velocity() geo.Point { return geo.Pt(k.x.At(2, 0), k.x.At(3, 0)) }
+func (k *Kalman) Velocity() geo.Point { return geo.Pt(k.x[2], k.x[3]) }
 
 // Innovation returns the distance between a prospective observation and
 // the predicted position dt seconds ahead, without mutating the filter.
 // Prediction-based outlier detection uses this as its test statistic.
 func (k *Kalman) Innovation(dt float64, obs geo.Point) float64 {
-	s := &k.scr
-	cvTransitionInto(s.f, dt)
-	pred := stats.MulInto(s.x1, s.f, k.x)
-	return obs.Dist(geo.Pt(pred.At(0, 0), pred.At(1, 0)))
+	// Rows 0 and 1 of F*x; the dt term is a skipped left operand when
+	// dt == 0 (dt is unchecked here).
+	px, py := 0+k.x[0], 0+k.x[1]
+	if dt != 0 {
+		px += dt * k.x[2]
+		py += dt * k.x[3]
+	}
+	return obs.Dist(geo.Pt(px, py))
 }
 
 // KalmanFilterTrajectory runs the filter forward over a trajectory and
@@ -182,7 +135,7 @@ func KalmanFilterTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 	if tr.Len() == 0 {
 		return out
 	}
-	k := NewKalman(tr.Points[0].Pos, q, r)
+	k := newKalman(tr.Points[0].Pos, q, r)
 	prevT := tr.Points[0].T
 	out.Points = make([]trajectory.Point, 0, tr.Len())
 	for i, p := range tr.Points {
@@ -198,23 +151,18 @@ func KalmanFilterTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 }
 
 // rtsStep is one time step of the forward Kalman pass retained for the
-// backward RTS smoother. State and covariance snapshots are stored in
-// inline arrays (state dimension is fixed at 4), so retaining a step
-// allocates nothing beyond the pooled step slice itself.
+// backward RTS smoother: the predicted and filtered state/covariance
+// and the step's dt (the transition it was predicted with).
 type rtsStep struct {
 	xPred, xFilt [4]float64
 	pPred, pFilt [16]float64
-	f            [16]float64
+	dt           float64
 }
 
-// The smoother's per-call scratch (one step record per point plus the
-// smoothed state/covariance buffers) is pooled: smoothing runs once
-// per trajectory per pipeline attempt. rtsStep holds no pointers, so
-// pooled slices pin nothing between uses.
-var (
-	stepsPool  = sync.Pool{New: func() any { return new([]rtsStep) }}
-	floatsPool = sync.Pool{New: func() any { return new([]float64) }}
-)
+// stepsPool pools the smoother's per-call step records: smoothing runs
+// once per trajectory per pipeline attempt. rtsStep holds no pointers,
+// so pooled slices pin nothing between uses.
+var stepsPool = sync.Pool{New: func() any { return new([]rtsStep) }}
 
 func getSteps(n int) *[]rtsStep {
 	p := stepsPool.Get().(*[]rtsStep)
@@ -224,27 +172,6 @@ func getSteps(n int) *[]rtsStep {
 	*p = (*p)[:n]
 	return p
 }
-
-func putSteps(p *[]rtsStep) {
-	stepsPool.Put(p)
-}
-
-func getFloats(n int) *[]float64 {
-	p := floatsPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putFloats(p *[]float64) {
-	floatsPool.Put(p)
-}
-
-// mat41 and mat44 wrap a scratch slice as a fixed-shape matrix view.
-func mat41(d []float64) stats.Matrix { return stats.Matrix{Rows: 4, Cols: 1, Data: d} }
-func mat44(d []float64) stats.Matrix { return stats.Matrix{Rows: 4, Cols: 4, Data: d} }
 
 // KalmanSmoothTrajectory runs a forward pass followed by a
 // Rauch-Tung-Striebel backward smoother, producing the non-causal MAP
@@ -257,86 +184,51 @@ func KalmanSmoothTrajectory(tr *trajectory.Trajectory, q, r float64) *trajectory
 		return out
 	}
 	stepsP := getSteps(n)
-	defer putSteps(stepsP)
+	defer stepsPool.Put(stepsP)
 	steps := *stepsP
-	k := NewKalman(tr.Points[0].Pos, q, r)
+	k := newKalman(tr.Points[0].Pos, q, r)
 	prevT := tr.Points[0].T
 	for i, p := range tr.Points {
 		st := &steps[i]
-		if i == 0 {
-			f := mat44(st.f[:])
-			stats.IdentityInto(&f)
-		} else {
-			dt := math.Max(p.T-prevT, 1e-9)
-			f := mat44(st.f[:])
-			cvTransitionInto(&f, dt)
-			k.Predict(dt)
+		if i > 0 {
+			st.dt = math.Max(p.T-prevT, 1e-9)
+			k.Predict(st.dt)
 		}
-		copy(st.xPred[:], k.x.Data)
-		copy(st.pPred[:], k.p.Data)
+		st.xPred, st.pPred = k.x, k.p
 		k.Update(p.Pos)
-		copy(st.xFilt[:], k.x.Data)
-		copy(st.pFilt[:], k.p.Data)
+		st.xFilt, st.pFilt = k.x, k.p
 		prevT = p.T
 	}
-	// Backward RTS pass. Smoothed states/covariances live in pooled
-	// flat buffers viewed as 4x1 / 4x4 matrices; the loop temporaries
-	// are allocated once per call.
-	xsP, psP := getFloats(n*4), getFloats(n*16)
-	defer putFloats(xsP)
-	defer putFloats(psP)
-	xs, ps := *xsP, *psP
-	xrow := func(i int) []float64 { return xs[i*4 : (i+1)*4] }
-	prow := func(i int) []float64 { return ps[i*16 : (i+1)*16] }
-	copy(xrow(n-1), steps[n-1].xFilt[:])
-	copy(prow(n-1), steps[n-1].pFilt[:])
-	predInv := stats.NewMatrix(4, 4)
-	invScratch := stats.NewMatrix(4, 4)
-	ft := stats.NewMatrix(4, 4)
-	c := stats.NewMatrix(4, 4)
-	ct := stats.NewMatrix(4, 4)
-	t44a := stats.NewMatrix(4, 4)
-	t44b := stats.NewMatrix(4, 4)
-	d41 := stats.NewMatrix(4, 1)
-	e41 := stats.NewMatrix(4, 1)
+	// Backward RTS pass. Each smoothed state needs only the next one,
+	// carried in xs; positions go straight to the output. The smoothed
+	// covariance c*(ps[i+1]-pPred)*c' + pFilt feeds no state, so it is
+	// not computed.
+	out.Points = make([]trajectory.Point, n)
+	xs := steps[n-1].xFilt
+	out.Points[n-1] = trajectory.Point{T: tr.Points[n-1].T, Pos: geo.Pt(xs[0], xs[1])}
 	for i := n - 2; i >= 0; i-- {
 		next := &steps[i+1]
 		st := &steps[i]
-		pPred := mat44(next.pPred[:])
-		if err := stats.InverseInto(predInv, &pPred, invScratch); err != nil {
-			copy(xrow(i), st.xFilt[:])
-			copy(prow(i), st.pFilt[:])
-			continue
+		var predInv [16]float64
+		if a := next.pPred; !invert(predInv[:], a[:], 4) {
+			xs = st.xFilt
+		} else {
+			// c = pFilt * F' * predInv
+			var c [16]float64
+			f := transition(next.dt)
+			mul44T(&c, &st.pFilt, &f)
+			mul44(&c, &c, &predInv)
+			// xs[i] = xFilt + c * (xs[i+1] - xPred)
+			var d [4]float64
+			for j := range d {
+				d[j] = xs[j] - next.xPred[j]
+			}
+			e := mul44x41(&c, &d)
+			for j := range xs {
+				xs[j] = st.xFilt[j] + e[j]
+			}
 		}
-		// c = pFilt * f' * predInv
-		f := mat44(next.f[:])
-		pFilt := mat44(st.pFilt[:])
-		stats.TransposeInto(ft, &f)
-		stats.MulInto(t44a, &pFilt, ft)
-		stats.MulInto(c, t44a, predInv)
-		// xs[i] = xFilt + c * (xs[i+1] - xPred)
-		xNext := mat41(xrow(i + 1))
-		xPred := mat41(next.xPred[:])
-		stats.SubInto(d41, &xNext, &xPred)
-		stats.MulInto(e41, c, d41)
-		xFilt := mat41(st.xFilt[:])
-		xCur := mat41(xrow(i))
-		stats.AddInto(&xCur, &xFilt, e41)
-		// ps[i] = pFilt + c * (ps[i+1] - pPred) * c'
-		pNext := mat44(prow(i + 1))
-		stats.SubInto(t44a, &pNext, &pPred)
-		stats.MulInto(t44b, c, t44a)
-		stats.TransposeInto(ct, c)
-		stats.MulInto(t44a, t44b, ct)
-		pCur := mat44(prow(i))
-		stats.AddInto(&pCur, &pFilt, t44a)
-	}
-	out.Points = make([]trajectory.Point, 0, n)
-	for i, p := range tr.Points {
-		out.Points = append(out.Points, trajectory.Point{
-			T:   p.T,
-			Pos: geo.Pt(xs[i*4], xs[i*4+1]),
-		})
+		out.Points[i] = trajectory.Point{T: tr.Points[i].T, Pos: geo.Pt(xs[0], xs[1])}
 	}
 	return out
 }

@@ -289,7 +289,10 @@ func TestConcurrencyLimitSheds503(t *testing.T) {
 	defer srv.Close()
 
 	// Occupy the single slot with a request whose body never finishes.
+	// The deferred Close runs before srv.Close (defers are LIFO), so a
+	// failing check ends the held request instead of hanging the test.
 	pr, pw := io.Pipe()
+	defer pw.Close()
 	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/assess", pr)
 	req.Header.Set("Content-Type", "text/csv")
 	firstDone := make(chan struct{})

@@ -1,8 +1,8 @@
 // Package stats provides the statistical building blocks shared by the
 // sidq quality-management and exploitation packages: descriptive
 // statistics, robust estimators, online (streaming) accumulators,
-// Gaussian density helpers, and a tiny dense-matrix type sized for
-// Kalman filtering.
+// Gaussian density helpers, and a tiny dense-matrix type for small
+// least-squares solves.
 //
 // Everything in this package is deterministic given the caller's
 // *rand.Rand; no package-level randomness is used.
